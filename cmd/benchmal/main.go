@@ -13,12 +13,17 @@
 // per thread, 30-second timed phases); the default 0.01 finishes each
 // experiment in seconds and preserves the qualitative shape.
 //
-// -telemetry (default on) attaches the lock-free observability layer
-// to every lock-free allocator, so each measurement line carries CAS
-// retries/op and malloc latency quantiles; -telemetry=false measures
-// the bare allocator. -magazine N enables the thread-local magazine
-// layer (Config.MagazineSize=N) on every lock-free allocator; the
-// magazine experiment compares off/on regardless of this flag.
+// -telemetry attaches the lock-free observability layer to every
+// lock-free allocator, so each measurement line carries CAS
+// retries/op and malloc latency quantiles. It is off by default so
+// tables compare bare allocators: the baselines carry no hook, and
+// with it on the lock-free allocator ran at 0.92x its bare speed on
+// Threadtest and Larson (2-vCPU Xeon VM). Experiments that read
+// telemetry (census, adapt, the layer comparisons) attach it
+// regardless, and -samplerate implies it. -magazine N enables the
+// thread-local magazine layer (Config.MagazineSize=N) on every
+// lock-free allocator; the magazine experiment compares off/on
+// regardless of this flag.
 // -arenas N shards every allocator's OS layer into N region arenas
 // (0 = one per processor heap, the default; 1 = the unsharded global
 // layout); the arenas experiment compares 1 vs per-processor
@@ -91,7 +96,7 @@ func main() {
 		scaleFlag   = flag.Float64("scale", 0.01, "fraction of the paper's full parameters (1.0 = full)")
 		allocsFlag  = flag.String("allocs", "", "comma-separated allocators (default: all)")
 		procsFlag   = flag.Int("procs", 0, "processor heaps per allocator (default: max threads)")
-		teleFlag    = flag.Bool("telemetry", true, "attach the telemetry layer to lock-free allocators (retries/op and latency per row)")
+		teleFlag    = flag.Bool("telemetry", false, "attach the telemetry layer to lock-free allocators (retries/op and latency per row)")
 		allocFlags  = bench.RegisterAllocFlags(flag.CommandLine)
 		rateFlag    = flag.Int("samplerate", 0, "allocation sampling period for census columns (0 = sampler off)")
 		jsonFlag    = flag.Bool("json", false, "write all measurements to a BENCH_<unixtime>.json file")
@@ -112,6 +117,9 @@ func main() {
 		return
 	}
 
+	// The sampler lives in the telemetry recorder.
+	tele := *teleFlag || *rateFlag > 0
+
 	threads, err := parseInts(*threadsFlag)
 	if err != nil {
 		fatal("invalid -threads: %v", err)
@@ -120,7 +128,7 @@ func main() {
 		Threads:     threads,
 		Scale:       *scaleFlag,
 		Processors:  *procsFlag,
-		Telemetry:   *teleFlag,
+		Telemetry:   tele,
 		Magazine:    *allocFlags.Magazine,
 		Arenas:      *allocFlags.Arenas,
 		DescStripes: *allocFlags.DescStripes,
@@ -177,7 +185,7 @@ func main() {
 			Scale:         *scaleFlag,
 			Threads:       threads,
 			Experiments:   ids,
-			Telemetry:     *teleFlag,
+			Telemetry:     tele,
 			Magazine:      *allocFlags.Magazine,
 			Arenas:        *allocFlags.Arenas,
 			DescStripes:   *allocFlags.DescStripes,

@@ -118,8 +118,8 @@ func sample(delta telemetry.Snapshot, knobs Knobs, cen *census.Census) Sample {
 func TestHysteresisGrow(t *testing.T) {
 	h := &Hysteresis{Confirm: 2, Cooldown: 2}
 	hot := telemetry.Snapshot{MagHits: 800, MagMisses: 200}
-	hot.Malloc.Count = 1000
-	hot.Free.Count = 1000
+	hot.Mallocs = 1000
+	hot.Frees = 1000
 	knobs := Knobs{MagCaps: []int{16}}
 	if acts := h.Decide(sample(hot, knobs, nil)); len(acts) != 0 {
 		t.Fatalf("acted after 1 sample: %+v", acts)
@@ -144,8 +144,8 @@ func TestHysteresisGrow(t *testing.T) {
 func TestHysteresisGrowOnRetries(t *testing.T) {
 	h := &Hysteresis{Confirm: 1}
 	d := telemetry.Snapshot{TotalRetries: 500}
-	d.Malloc.Count = 2000
-	d.Free.Count = 2000
+	d.Mallocs = 2000
+	d.Frees = 2000
 	acts := h.Decide(sample(d, Knobs{MagCaps: []int{0}}, nil))
 	if len(acts) != 1 || acts[0].Cap != 8 || acts[0].Reason != ReasonHighRetryRate {
 		t.Fatalf("acts = %+v, want grow to MinCap 8 on retries", acts)
@@ -157,8 +157,8 @@ func TestHysteresisGrowOnRetries(t *testing.T) {
 func TestHysteresisShrink(t *testing.T) {
 	h := &Hysteresis{Confirm: 1}
 	d := telemetry.Snapshot{MagHits: 3000, MagMisses: 10}
-	d.Malloc.Count = 3010
-	d.Free.Count = 3000
+	d.Mallocs = 3010
+	d.Frees = 3000
 	cen := &census.Census{}
 	cen.Totals.BlocksUsed = 1000
 	cen.Totals.MagazineCached = 600
@@ -173,8 +173,8 @@ func TestHysteresisShrink(t *testing.T) {
 func TestHysteresisConflictCancels(t *testing.T) {
 	h := &Hysteresis{Confirm: 1}
 	d := telemetry.Snapshot{MagHits: 500, MagMisses: 500, TotalRetries: 1000}
-	d.Malloc.Count = 1000
-	d.Free.Count = 1000
+	d.Mallocs = 1000
+	d.Frees = 1000
 	cen := &census.Census{}
 	cen.Totals.BlocksUsed = 100
 	cen.Totals.MagazineCached = 90
@@ -190,8 +190,8 @@ func TestHysteresisConflictCancels(t *testing.T) {
 func TestHysteresisIdleDecays(t *testing.T) {
 	h := &Hysteresis{Confirm: 2}
 	hot := telemetry.Snapshot{MagHits: 100, MagMisses: 900}
-	hot.Malloc.Count = 5000
-	hot.Free.Count = 5000
+	hot.Mallocs = 5000
+	hot.Frees = 5000
 	knobs := Knobs{MagCaps: []int{16}}
 	h.Decide(sample(hot, knobs, nil)) // vote 1 of 2
 	var idle telemetry.Snapshot
@@ -209,8 +209,8 @@ func TestHysteresisStripeSkew(t *testing.T) {
 		TotalRetries: 600,
 		Retries:      map[string]uint64{"desc-alloc": 400, "desc-retire": 200},
 	}
-	d.Malloc.Count = 2000
-	d.Free.Count = 2000
+	d.Mallocs = 2000
+	d.Frees = 2000
 	knobs := Knobs{
 		MagCaps:    []int{8},
 		Stripes:    4,

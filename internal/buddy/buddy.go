@@ -404,21 +404,36 @@ func (tr *tree) freeNode(upper, n uint64, t *Thread) {
 	tr.unmark(upper, n, t)
 }
 
-// mark CAS-sets the coalescing bit for n's side in every ancestor up
-// to and including upper (phase 1 of free). The coal bits announce the
-// in-flight free: a concurrent allocation below upper either sees them
-// and takes over (fragment clears them), or completes before the
-// release and makes unmark stop.
+// mark CAS-sets the coalescing bit for n's side in the ancestors up to
+// upper (phase 1 of free). The coal bits announce the in-flight free: a
+// concurrent allocation below upper either sees them and takes over
+// (fragment clears them), or completes before the release and makes
+// unmark stop.
+//
+// Marking stops at the first ancestor whose other side holds a live
+// allocation with no free in flight (NBBS's rule): the merge
+// cannot pass that level, unmark stops there too, and the buddy's own
+// free marks and merges the levels above. Marks set higher would
+// outlive this free until some other operation passed through them; a
+// buddy that is never freed strands them for good, and they keep the
+// larger blocks above from being allocated. A buddy side that is
+// itself coalescing does not stop the walk: of two frees meeting at
+// a parent, the later marker must carry the marks on, because the
+// later unmarker finds the parent empty and continues upward.
 func (tr *tree) mark(upper, n uint64, t *Thread) {
 	cur := n
 	for cur != upper && cur > 1 {
 		parent := cur >> 1
+		var s uint32
 		for {
-			s := tr.status[parent].Load()
+			s = tr.status[parent].Load()
 			if tr.status[parent].CompareAndSwap(s, s|coalBit(cur)) {
 				break
 			}
 			t.a.retry(telemetry.SiteBuddyMark, parent)
+		}
+		if b := cur ^ 1; s&occBit(b) != 0 && s&coalBit(b) == 0 {
+			return
 		}
 		cur = parent
 	}

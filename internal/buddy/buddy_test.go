@@ -307,3 +307,81 @@ func TestName(t *testing.T) {
 		t.Fatalf("MaxBlockWords = %s, want 4096", got)
 	}
 }
+
+// TestFreeNextToLiveBuddyLeavesNoMarks: a free whose merge stops at a
+// live buddy must not leave coalescing marks above that level. They
+// would outlive the free until another operation passed through, and
+// a buddy that is never freed would strand them for good, keeping the
+// larger blocks above unallocatable.
+func TestFreeNextToLiveBuddyLeavesNoMarks(t *testing.T) {
+	a := newTest(t)
+	th := a.Thread()
+	x, err := th.Malloc(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := th.Malloc(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th.Free(x)
+	if n := a.CoalBits(); n != 0 {
+		t.Fatalf("%d coalescing marks left after a completed free next to a live block", n)
+	}
+	checkStrict(t, a)
+	th.Free(y)
+	if n := a.CoalBits(); n != 0 {
+		t.Fatalf("%d coalescing marks left with every block free", n)
+	}
+	checkStrict(t, a)
+}
+
+// TestConcurrentBuddyFreesMerge frees two buddy leaves with the second
+// free run to completion inside the first, at each point between the
+// first's mark and its unmark: whichever order the marks and unmarks
+// land in, the pair must merge all the way up, leave no marks, and
+// give back a whole-tree block.
+func TestConcurrentBuddyFreesMerge(t *testing.T) {
+	for _, point := range []HookPoint{HookFreeAfterMark, HookFreeAfterRelease, HookFreeDuringUnmark} {
+		t.Run(point.String(), func(t *testing.T) {
+			a := newTest(t)
+			A, B := a.Thread(), a.Thread()
+			x, err := A.Malloc(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y, err := B.Malloc(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if x.Sub(y) != a.minWords && y.Sub(x) != a.minWords {
+				t.Fatalf("test setup: blocks %v and %v are not buddies", x, y)
+			}
+			fired := false
+			A.SetHook(func(p HookPoint) {
+				if p == point && !fired {
+					fired = true
+					B.Free(y)
+				}
+			})
+			A.Free(x)
+			A.SetHook(nil)
+			if !fired {
+				t.Fatalf("%v never fired", point)
+			}
+			if n := a.CoalBits(); n != 0 {
+				t.Fatalf("%d coalescing marks left after both frees", n)
+			}
+			checkStrict(t, a)
+			whole, err := A.Malloc((a.MaxBlockWords() - 1) * mem.WordBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Trees() != 1 {
+				t.Fatalf("whole-tree block needed a new tree: the pair did not merge to the root")
+			}
+			A.Free(whole)
+			checkStrict(t, a)
+		})
+	}
+}

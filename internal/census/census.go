@@ -157,8 +157,8 @@ type Census struct {
 
 	Totals Totals `json:"totals"`
 
-	// Ages buckets live sampled blocks by age (log2 nanoseconds, same
-	// bucket semantics as the telemetry histograms); the quantiles and
+	// Ages buckets live sampled blocks by age (the telemetry
+	// histograms' HDR buckets, 12.5% wide); the quantiles and
 	// OldestNS derive from the samples.
 	Ages     telemetry.HistBuckets `json:"ages"`
 	AgeP50NS uint64                `json:"ageP50NS"`

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/bits"
 	"regexp"
 	"sort"
 	"strconv"
@@ -86,8 +87,8 @@ func WriteMetrics(w io.Writer, snap telemetry.Snapshot, c *Census) error {
 	p.sample("alloc_threads", float64(snap.Threads))
 
 	p.header("alloc_ops_total", "Completed allocator operations.", "counter")
-	p.sample("alloc_ops_total", float64(snap.Malloc.Count), "op", "malloc")
-	p.sample("alloc_ops_total", float64(snap.Free.Count), "op", "free")
+	p.sample("alloc_ops_total", float64(snap.Mallocs), "op", "malloc")
+	p.sample("alloc_ops_total", float64(snap.Frees), "op", "free")
 
 	p.header("alloc_retries_total", "Failed CAS operations by retry site.", "counter")
 	sites := make([]string, 0, len(snap.Retries))
@@ -185,21 +186,27 @@ func WriteMetrics(w io.Writer, snap telemetry.Snapshot, c *Census) error {
 		p.sample("census_desc_stripe_free", float64(n), "stripe", strconv.Itoa(i))
 	}
 
-	// Live-age histogram: cumulative le buckets in seconds. Bucket i of
-	// the telemetry vector covers ages below 2^i ns.
+	// Live-age histogram: cumulative le buckets in seconds, one per
+	// power of two (octave boundaries are bucket boundaries of the
+	// telemetry vector, so le=2^k ns sums the buckets below
+	// BucketBelow(k)); the sum uses the finer buckets' midpoints.
 	p.header("census_live_age_seconds", "Ages of live sampled allocations.", "histogram")
-	var cum uint64
 	var sumNS float64
-	top := 0
+	top := 0 // bit length of the oldest bucket's ages
 	for i, n := range c.Ages {
 		if n > 0 {
-			top = i
+			mid := telemetry.BucketMid(i) // same bit length as the whole bucket
+			sumNS += float64(n) * float64(mid)
+			top = bits.Len64(mid)
 		}
 	}
-	for i := 0; i <= top; i++ {
-		cum += c.Ages[i]
-		sumNS += float64(c.Ages[i]) * float64(bucketMidNS(i))
-		le := strconv.FormatFloat(float64(uint64(1)<<uint(i))/1e9, 'g', -1, 64)
+	var cum uint64
+	next := 0
+	for k := 0; k <= top; k++ {
+		for ; next < telemetry.BucketBelow(k); next++ {
+			cum += c.Ages[next]
+		}
+		le := strconv.FormatFloat(float64(uint64(1)<<uint(k))/1e9, 'g', -1, 64)
 		p.sample("census_live_age_seconds_bucket", float64(cum), "le", le)
 	}
 	p.sample("census_live_age_seconds_bucket", float64(c.Ages.Count()), "le", "+Inf")
@@ -235,19 +242,6 @@ func WriteMetrics(w io.Writer, snap telemetry.Snapshot, c *Census) error {
 		return WriteBuddyMetrics(w, c.Buddy)
 	}
 	return p.err
-}
-
-// bucketMidNS mirrors the telemetry histogram's representative bucket
-// values (midpoint of [2^(i-1), 2^i)).
-func bucketMidNS(i int) uint64 {
-	switch i {
-	case 0:
-		return 0
-	case 1:
-		return 1
-	default:
-		return 3 << (i - 2)
-	}
 }
 
 var (

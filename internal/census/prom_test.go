@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
@@ -26,8 +27,10 @@ func goldenInputs() (telemetry.Snapshot, *Census) {
 		MagHits:      1200,
 		MagMisses:    80,
 		MagFlushes:   5,
-		Malloc:       telemetry.HistSummary{Count: 1500, P50NS: 96, P90NS: 384, P99NS: 1536},
-		Free:         telemetry.HistSummary{Count: 1400, P50NS: 48, P90NS: 192, P99NS: 768},
+		Mallocs:      1500,
+		Frees:        1400,
+		Malloc:       telemetry.HistSummary{Count: 24, P50NS: 96, P90NS: 384, P99NS: 1536},
+		Free:         telemetry.HistSummary{Count: 22, P50NS: 48, P90NS: 192, P99NS: 768},
 	}
 
 	c := &Census{
@@ -75,9 +78,14 @@ func goldenInputs() (telemetry.Snapshot, *Census) {
 			},
 		},
 	}
-	c.Ages[17] = 6 // ~0.1 ms
-	c.Ages[20] = 3 // ~1 ms
-	c.Ages[21] = 1 // ~2 ms
+	for _, a := range []struct {
+		ns time.Duration
+		n  int
+	}{{98304, 6}, {786432, 3}, {1572864, 1}} { // ~0.1, ~1, ~2 ms
+		for i := 0; i < a.n; i++ {
+			c.Ages.Observe(a.ns)
+		}
+	}
 	return snap, c
 }
 

@@ -409,7 +409,7 @@ func (a *Allocator) Thread() *Thread {
 	// policy layer on adaptive allocators).
 	t.arena = a.heap.Arena(int(t.id))
 	if a.tele != nil {
-		t.rec = a.tele.NewShard(t.id)
+		t.rec = a.tele.NewShard(t.id, t.ops.totals)
 	}
 	if a.pol != nil {
 		// Record the applied epoch before reading any policy values:
@@ -558,6 +558,15 @@ func (c *opCounters) snapshot() OpStats {
 		MagazineFlushes:   c.magFlushes.Load(),
 		PartialListDrops:  c.partialListDrops.Load(),
 	}
+}
+
+// totals returns the exact completed malloc and free counts, small and
+// large, that the thread's telemetry shard reports (Snapshot.Mallocs
+// and Frees): the counters every op already updates, read once more.
+func (c *opCounters) totals() (mallocs, frees uint64) {
+	mallocs = c.magHits.Load() + c.fromActive.Load() + c.fromPartial.Load() +
+		c.fromNewSB.Load() + c.largeMallocs.Load()
+	return mallocs, c.frees.Load() + c.largeFrees.Load()
 }
 
 // OpStats counts allocator operations observed by one thread or

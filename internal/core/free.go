@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"time"
 
 	"repro/internal/atomicx"
 	"repro/internal/mem"
@@ -38,20 +37,43 @@ func (t *Thread) Free(ptr mem.Ptr) {
 		t.free(ptr, prefix)
 		return
 	}
-	// Telemetry path: resolve the size class from the already-loaded
-	// prefix (before the block is recycled), then time the operation.
-	cls := -1
-	if !prefixIsLarge(prefix) {
-		cls = t.a.desc(prefix >> 1).ClassIndex()
-	}
-	// Match against the allocation sampler before the block can be
-	// recycled (and outside the timed window, so sampling never skews
-	// the free latency histogram).
+	// Telemetry path. Match against the allocation sampler before the
+	// block can be recycled (and outside the timed window, so sampling
+	// never skews the free latency histogram).
 	t.rec.SampleFree(uint64(ptr))
-	t.rec.BeginOp()
-	start := time.Now()
+	if t.rec.BeginOp(telemetry.EvFree) {
+		t.freeTimed(ptr, prefix)
+		return
+	}
 	t.free(ptr, prefix)
-	t.rec.EndFree(cls, time.Since(start), uint64(ptr))
+	if t.rec.Retried() {
+		// The class is read after the free, so a descriptor recycled
+		// meanwhile can mislabel the event; the ring is a diagnostic
+		// aid.
+		t.rec.Note(telemetry.EvFree, t.prefixClass(prefix), uint64(ptr))
+	}
+}
+
+// freeTimed is the 1-in-RingSample timed Free: it resolves the size
+// class from the already-loaded prefix (before the block is recycled),
+// then times the operation. Outlined so the untimed path stays small
+// and skips the descriptor load.
+//
+//go:noinline
+func (t *Thread) freeTimed(ptr mem.Ptr, prefix uint64) {
+	cls := t.prefixClass(prefix)
+	start := telemetry.Clock()
+	t.free(ptr, prefix)
+	t.rec.EndFree(cls, telemetry.Clock()-start, uint64(ptr))
+}
+
+// prefixClass returns the size class a block prefix names, -1 for a
+// large block.
+func (t *Thread) prefixClass(prefix uint64) int {
+	if prefixIsLarge(prefix) {
+		return -1
+	}
+	return t.a.desc(prefix >> 1).ClassIndex()
 }
 
 // free releases a non-nil block whose prefix the caller has already

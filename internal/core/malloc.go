@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/atomicx"
 	"repro/internal/mem"
 	"repro/internal/telemetry"
@@ -24,18 +22,41 @@ func (t *Thread) Malloc(size uint64) (mem.Ptr, error) {
 		}
 		return p, err
 	}
-	// Telemetry path: time the operation and attribute it to the size
-	// class malloc already resolved (retry-site counters accumulate
-	// inside t.malloc).
-	t.rec.BeginOp()
-	start := time.Now()
-	p, cls, err := t.malloc(size)
+	// Telemetry path: every op keeps the exact counters (the OpStats
+	// the shard reads) and the retry-site counters inside t.malloc;
+	// only the shard's malloc countdown decides whether this op is timed.
+	var p mem.Ptr
+	var cls int
+	var err error
+	if t.rec.BeginOp(telemetry.EvMalloc) {
+		p, cls, err = t.mallocTimed(size)
+	} else {
+		p, cls, err = t.malloc(size)
+		if err == nil && t.rec.Retried() {
+			t.rec.Note(telemetry.EvMalloc, cls, uint64(p))
+		}
+	}
 	if err == nil {
-		t.rec.EndMalloc(cls, time.Since(start), uint64(p))
+		// Called here, not in mallocTimed, so the sampler's call-site
+		// capture sees the same frames on every path.
 		t.rec.SampleMalloc(uint64(p), size, cls)
 		t.shadowNoteMalloc(p, size)
 	}
 	return p, err
+}
+
+// mallocTimed is the 1-in-RingSample timed Malloc: it reads the clock
+// around the operation and attributes its latency to the size class
+// malloc resolved. Outlined so the untimed path stays small.
+//
+//go:noinline
+func (t *Thread) mallocTimed(size uint64) (mem.Ptr, int, error) {
+	start := telemetry.Clock()
+	p, cls, err := t.malloc(size)
+	if err == nil {
+		t.rec.EndMalloc(cls, telemetry.Clock()-start, uint64(p))
+	}
+	return p, cls, err
 }
 
 // malloc allocates a block and reports the size class it was served

@@ -58,11 +58,11 @@ func TestTelemetryIntegration(t *testing.T) {
 
 	snap := rec.Snapshot()
 	const total = workers * iters
-	if snap.Malloc.Count != total {
-		t.Errorf("snapshot malloc count = %d, want %d", snap.Malloc.Count, total)
+	if snap.Mallocs != total {
+		t.Errorf("snapshot malloc count = %d, want %d", snap.Mallocs, total)
 	}
-	if snap.Free.Count != total {
-		t.Errorf("snapshot free count = %d, want %d", snap.Free.Count, total)
+	if snap.Frees != total {
+		t.Errorf("snapshot free count = %d, want %d", snap.Frees, total)
 	}
 	if snap.Threads != workers {
 		t.Errorf("snapshot threads = %d, want %d", snap.Threads, workers)
@@ -96,6 +96,155 @@ func TestTelemetryIntegration(t *testing.T) {
 		t.Errorf("implausible malloc latency quantiles: p50=%d p99=%d",
 			snap.Malloc.P50NS, snap.Malloc.P99NS)
 	}
+}
+
+// TestTelemetryExactTotalsLive churns with a Snapshot reader racing
+// the workers (run under -race): live exact totals never go backwards,
+// and after the workers stop they equal Allocator.Stats' operation
+// counts, while the histograms hold only the timed ops — per-class
+// rows summing to the aggregate.
+func TestTelemetryExactTotalsLive(t *testing.T) {
+	cfg := testConfig()
+	cfg.Processors = 2
+	rec := NewRecorder(telemetry.Config{RingSample: 16})
+	cfg.Telemetry = rec
+	a := New(cfg)
+
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		var prev telemetry.Snapshot
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := rec.Snapshot()
+			if s.Mallocs < prev.Mallocs || s.Frees < prev.Frees {
+				t.Error("live exact totals went backwards")
+				return
+			}
+			prev = s
+		}
+	}()
+
+	const workers = 4
+	const iters = 3000
+	sizes := []uint64{8, 48, 300, 2000, 40000}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			th := a.Thread()
+			rng := rand.New(rand.NewSource(seed))
+			var live []mem.Ptr
+			for i := 0; i < iters; i++ {
+				p, err := th.Malloc(sizes[rng.Intn(len(sizes))])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				live = append(live, p)
+				if len(live) > 24 {
+					k := rng.Intn(len(live))
+					th.Free(live[k])
+					live[k] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+			}
+			for _, p := range live {
+				th.Free(p)
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	close(stop)
+	reader.Wait()
+
+	snap := rec.Snapshot()
+	ops := a.Stats().Ops
+	if snap.Mallocs != ops.Mallocs+ops.LargeMallocs || snap.Frees != ops.Frees+ops.LargeFrees {
+		t.Errorf("snapshot totals %d/%d, Stats %d/%d", snap.Mallocs, snap.Frees,
+			ops.Mallocs+ops.LargeMallocs, ops.Frees+ops.LargeFrees)
+	}
+	if snap.Mallocs != workers*iters || snap.Frees != workers*iters {
+		t.Errorf("snapshot totals %d/%d, want %d each", snap.Mallocs, snap.Frees, workers*iters)
+	}
+	// Each thread times exactly every 16th of its iters mallocs and
+	// every 16th of its iters frees.
+	if got, want := snap.Malloc.Count+snap.Free.Count, uint64(workers*2*(iters/16)); got != want {
+		t.Errorf("timed observations = %d, want %d", got, want)
+	}
+	var perClassMallocs uint64
+	for _, row := range snap.PerClass {
+		if row.Op == "malloc" {
+			perClassMallocs += row.Count
+		}
+	}
+	if perClassMallocs != snap.Malloc.Count {
+		t.Errorf("per-class malloc rows sum to %d, want %d", perClassMallocs, snap.Malloc.Count)
+	}
+}
+
+// TestTelemetryRetriedOpRecorded: an untimed Free whose anchor CAS
+// fails (another thread frees into the same superblock between its
+// load and its CAS, forced with the HookFreeBeforeCAS hook) must still
+// reach the flight recorder, with its retry and without a latency.
+func TestTelemetryRetriedOpRecorded(t *testing.T) {
+	cfg := testConfig()
+	cfg.Processors = 1
+	rec := NewRecorder(telemetry.Config{RingSample: 1 << 30}) // nothing timed
+	cfg.Telemetry = rec
+	a := New(cfg)
+	A, B := a.Thread(), a.Thread()
+	var blocks [4]mem.Ptr
+	for i := range blocks {
+		p, err := A.Malloc(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks[i] = p
+	}
+	fired := false
+	A.SetHook(func(hp HookPoint) {
+		if hp == HookFreeBeforeCAS && !fired {
+			fired = true
+			B.Free(blocks[1]) // moves the anchor under A's pending CAS
+		}
+	})
+	A.Free(blocks[0])
+	A.SetHook(nil)
+	if !fired {
+		t.Fatal("HookFreeBeforeCAS never fired")
+	}
+	snap := rec.Snapshot()
+	if snap.Retries[telemetry.SiteFreeFast.String()] == 0 {
+		t.Fatal("forced anchor interference caused no free-fast retry")
+	}
+	if snap.Malloc.Count+snap.Free.Count != 0 {
+		t.Errorf("%d ops timed with RingSample 2^30", snap.Malloc.Count+snap.Free.Count)
+	}
+	found := false
+	for _, e := range snap.Events {
+		if e.Kind == telemetry.EvFree && e.Thread == A.ID() && e.Ptr == uint64(blocks[0]) {
+			found = true
+			if e.Retries == 0 || e.Nanos != 0 || e.Class != 0 {
+				t.Errorf("retried free event = %+v, want retries > 0, no latency, class 0", e)
+			}
+		}
+		if e.Kind == telemetry.EvFree && e.Thread == B.ID() {
+			t.Errorf("B's uncontended untimed free reached the ring: %+v", e)
+		}
+	}
+	if !found {
+		t.Errorf("retried untimed free missing from the flight recorder: %+v", snap.Events)
+	}
+	A.Free(blocks[2])
+	A.Free(blocks[3])
 }
 
 // TestStatsLiveSampling exercises the documented Stats snapshot

@@ -232,11 +232,25 @@ func (l *List) deleteFrom(start *atomic.Uint64, k uint64) bool {
 // Contains reports whether k is present.
 func (l *List) Contains(k uint64) bool { return l.containsFrom(&l.head, k) }
 
-// containsFrom checks membership starting at the given link word.
+// containsTestHook, when non-nil, runs between a lookup's find and
+// its validation, so tests can change the list at exactly that point.
+var containsTestHook func()
+
+// containsFrom checks membership starting at the given link word. A
+// position whose prev link changed after find (a concurrent insert or
+// unlink next to cur) proves nothing either way, so the lookup
+// retries, as insertFrom and deleteFrom do.
 func (l *List) containsFrom(start *atomic.Uint64, k uint64) bool {
-	pos := l.findFrom(start, k)
-	return pos.cur != 0 && l.node(pos.cur).key.Load() == k &&
-		pos.prev.Load() == pos.prevW
+	for {
+		pos := l.findFrom(start, k)
+		found := pos.cur != 0 && l.node(pos.cur).key.Load() == k
+		if containsTestHook != nil {
+			containsTestHook()
+		}
+		if pos.prev.Load() == pos.prevW {
+			return found
+		}
+	}
 }
 
 // LinkOf returns the link word of a node obtained from InsertFrom —

@@ -90,7 +90,7 @@ func TestDeleteMiddleAndEnds(t *testing.T) {
 func TestNodeRecycling(t *testing.T) {
 	l := New()
 	for i := 0; i < 10; i++ {
-		mustInsert(l, uint64(i + 1))
+		mustInsert(l, uint64(i+1))
 		l.Delete(uint64(i + 1))
 	}
 	before := l.pool.Limit()
@@ -114,7 +114,7 @@ func TestConcurrentDisjointInserts(t *testing.T) {
 		go func(g uint64) {
 			defer wg.Done()
 			for i := uint64(0); i < perG; i++ {
-				if !mustInsert(l, g*perG + i + 1) {
+				if !mustInsert(l, g*perG+i+1) {
 					t.Errorf("disjoint insert failed")
 					return
 				}
@@ -243,5 +243,37 @@ func TestLenTracksMutations(t *testing.T) {
 	}
 	if l.Len() != 50 {
 		t.Errorf("Len = %d", l.Len())
+	}
+}
+
+// TestContainsRetriesOnStalePrev pins the interleaving behind a lookup
+// that once reported a present key absent: after Contains(k) finds k's
+// node, another thread inserts a key just before k, which changes the
+// link word Contains validates against. The lookup must retry, not
+// read the failed validation as "absent".
+func TestContainsRetriesOnStalePrev(t *testing.T) {
+	l := New()
+	for _, k := range []uint64{10, 30} {
+		mustInsert(l, k)
+	}
+	fired := 0
+	containsTestHook = func() {
+		if fired == 0 {
+			mustInsert(l, 20) // lands between 10 and 30, in 30's prev link
+		}
+		fired++
+	}
+	defer func() { containsTestHook = nil }()
+	if !l.Contains(30) {
+		t.Fatal("present key 30 read as absent after a concurrent insert before it")
+	}
+	if fired < 2 {
+		t.Fatalf("validation ran %d times, want a retry after the insert", fired)
+	}
+	containsTestHook = nil
+	for _, k := range []uint64{10, 20, 30} {
+		if !l.Contains(k) {
+			t.Errorf("key %d missing", k)
+		}
 	}
 }

@@ -6,13 +6,26 @@ import (
 	"time"
 )
 
-// NumBuckets is the number of log2 latency buckets. Bucket i holds
-// durations whose nanosecond count has bit length i — i.e. bucket 0 is
-// exactly 0 ns and bucket i (i >= 1) covers [2^(i-1), 2^i) ns. Bucket
-// NumBuckets-1 absorbs everything longer (~9 minutes and up).
-const NumBuckets = 40
+// Bucket layout: HDR-style, log2 octaves split into linear sub-buckets.
+// Durations below exactNS nanoseconds get one bucket each (exact);
+// from there every octave [2^e, 2^(e+1)) is split into subBuckets
+// equal-width buckets of 2^(e-subBits) ns, so a bucket's width is at
+// most 1/subBuckets (12.5%) of its lower bound and a quantile read as
+// a bucket midpoint is within 6.25% of the true value.
+const (
+	subBits    = 3
+	subBuckets = 1 << subBits // linear sub-buckets per octave
+	exactNS    = 16           // durations below this are bucketed exactly
+	exactBits  = 4            // bits.Len64(exactNS) - 1
+	maxOctave  = 39           // octaves from 2^exactBits ns to 2^40 ns
+)
 
-// Histogram is a lock-free log2-bucketed latency histogram. Recording
+// NumBuckets is the number of latency buckets: exactNS exact buckets,
+// then subBuckets per octave up to 2^(maxOctave+1) ns (~18 minutes).
+// The last bucket absorbs everything longer.
+const NumBuckets = exactNS + (maxOctave-exactBits+1)*subBuckets
+
+// Histogram is a lock-free HDR-bucketed latency histogram. Recording
 // is one atomic increment; merging is a bucketwise load.
 type Histogram struct {
 	buckets [NumBuckets]atomic.Uint64
@@ -21,12 +34,50 @@ type Histogram struct {
 // bucketFor maps a duration to its bucket index.
 func bucketFor(d time.Duration) int {
 	ns := uint64(d.Nanoseconds())
-	b := bits.Len64(ns)
+	if ns < exactNS {
+		return int(ns)
+	}
+	e := bits.Len64(ns) - 1 // octave: ns in [2^e, 2^(e+1))
+	sub := int(ns>>(e-subBits)) & (subBuckets - 1)
+	b := exactNS + (e-exactBits)*subBuckets + sub
 	if b >= NumBuckets {
 		b = NumBuckets - 1
 	}
 	return b
 }
+
+// bucketLow returns the smallest nanosecond value bucket i holds, and
+// its width in nanoseconds.
+func bucketLow(i int) (low, width uint64) {
+	if i < exactNS {
+		return uint64(i), 1
+	}
+	e := (i-exactNS)/subBuckets + exactBits
+	sub := uint64((i - exactNS) % subBuckets)
+	width = 1 << (e - subBits)
+	return 1<<e + sub*width, width
+}
+
+// BucketBelow returns the number of buckets holding only durations
+// below 2^k ns, for 0 <= k <= maxOctave+1: octave boundaries fall on
+// bucket boundaries, so a log2 view (census's Prometheus live-age
+// histogram) sums buckets [0, BucketBelow(k)) for its le=2^k bound.
+func BucketBelow(k int) int {
+	if k <= exactBits {
+		return 1 << k
+	}
+	return exactNS + (k-exactBits)*subBuckets
+}
+
+// clockBase anchors Clock's readings.
+var clockBase = time.Now()
+
+// Clock returns a monotonic timestamp for timing an operation. It is
+// one clock read: time.Now also reads the wall clock, so timing with
+// time.Now and time.Since takes three reads where two Clock calls take
+// two (a read costs about 50 ns on a 2-vCPU Xeon VM, time.Now about
+// 85 ns).
+func Clock() time.Duration { return time.Since(clockBase) }
 
 // Record adds one observation.
 func (h *Histogram) Record(d time.Duration) {
@@ -45,6 +96,35 @@ func (h *Histogram) Load() HistBuckets {
 // HistBuckets is a plain (snapshot) bucket vector; index semantics
 // match Histogram.
 type HistBuckets [NumBuckets]uint64
+
+// SparseBuckets lists a bucket vector's non-empty buckets as [index,
+// count] pairs in index order. Snapshots hold their histograms in this
+// form: they carry one per size class and op (a series of snapshots
+// many), and a latency histogram fills a few dozen of the NumBuckets.
+type SparseBuckets [][2]uint64
+
+// Sparse returns b's non-empty buckets.
+func (b *HistBuckets) Sparse() SparseBuckets {
+	var out SparseBuckets
+	for i, c := range b {
+		if c != 0 {
+			out = append(out, [2]uint64{uint64(i), c})
+		}
+	}
+	return out
+}
+
+// Dense expands s into a bucket vector, dropping pairs whose index is
+// out of range.
+func (s SparseBuckets) Dense() HistBuckets {
+	var b HistBuckets
+	for _, p := range s {
+		if p[0] < NumBuckets {
+			b[p[0]] += p[1]
+		}
+	}
+	return b
+}
 
 // Observe adds one observation directly to the snapshot vector (same
 // bucket mapping as Histogram.Record). For single-goroutine
@@ -81,17 +161,12 @@ func (b HistBuckets) Count() uint64 {
 	return n
 }
 
-// bucketMid returns a representative nanosecond value for bucket i
-// (the midpoint of its range).
-func bucketMid(i int) uint64 {
-	switch i {
-	case 0:
-		return 0
-	case 1:
-		return 1
-	default:
-		return 3 << (i - 2) // (2^(i-1) + 2^i) / 2
-	}
+// BucketMid returns a representative nanosecond value for bucket i:
+// the value itself for the exact buckets, else the midpoint of the
+// bucket's range.
+func BucketMid(i int) uint64 {
+	low, width := bucketLow(i)
+	return low + width/2
 }
 
 // Quantile returns an estimate of the q-quantile (0 < q <= 1) in
@@ -113,10 +188,10 @@ func (b HistBuckets) Quantile(q float64) uint64 {
 	for i, c := range b {
 		cum += c
 		if cum >= target {
-			return bucketMid(i)
+			return BucketMid(i)
 		}
 	}
-	return bucketMid(NumBuckets - 1)
+	return BucketMid(NumBuckets - 1)
 }
 
 // Max returns the representative value of the highest non-empty
@@ -124,7 +199,7 @@ func (b HistBuckets) Quantile(q float64) uint64 {
 func (b HistBuckets) Max() uint64 {
 	for i := NumBuckets - 1; i >= 0; i-- {
 		if b[i] != 0 {
-			return bucketMid(i)
+			return BucketMid(i)
 		}
 	}
 	return 0

@@ -221,17 +221,16 @@ func (s *ThreadShard) SampleMalloc(ptr, reqBytes uint64, class int) {
 	if s.smpEvery == 0 {
 		return
 	}
-	s.smpSeq++
-	if s.smpSeq < s.smpEvery {
-		return
+	if s.smpSeq++; s.smpSeq >= s.smpEvery {
+		s.sampleSlow(ptr, reqBytes, class)
 	}
-	s.smpSeq = 0
-	s.sampleSlow(ptr, reqBytes, class)
 }
 
-// sampleSlow captures the call site and deposits the sample. Kept out
-// of SampleMalloc so the per-malloc guard stays inlinable.
+// sampleSlow restarts the countdown, captures the call site and
+// deposits the sample. Kept out of SampleMalloc so the per-malloc
+// guard stays inlinable.
 func (s *ThreadShard) sampleSlow(ptr, reqBytes uint64, class int) {
+	s.smpSeq = 0
 	// Skip runtime.Callers, sampleSlow, SampleMalloc, and the
 	// allocator's Malloc itself: the first recorded PC is Malloc's
 	// caller, the second its caller (kept so wrapper facades can be

@@ -76,7 +76,7 @@ func TestShardSampleRate(t *testing.T) {
 	if r.Sampler() == nil {
 		t.Fatal("no sampler with SampleRate set")
 	}
-	sh := r.NewShard(0)
+	sh := r.NewShard(0, nil)
 	for i := uint64(0); i < 40; i++ {
 		sh.SampleMalloc(0x1000+i*8, 16, 1)
 	}
@@ -90,7 +90,7 @@ func TestSamplerDisabled(t *testing.T) {
 	if r.Sampler() != nil {
 		t.Fatal("sampler attached with SampleRate 0")
 	}
-	sh := r.NewShard(0)
+	sh := r.NewShard(0, nil)
 	// Both paths must be cheap no-ops, not panics.
 	sh.SampleMalloc(0x1000, 8, 0)
 	sh.SampleFree(0x1000)

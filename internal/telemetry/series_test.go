@@ -144,14 +144,14 @@ func TestSnapshotSubConcurrentRecorder(t *testing.T) {
 		wg.Add(1)
 		go func(id uint64) {
 			defer wg.Done()
-			sh := rec.NewShard(id)
+			sh := rec.NewShard(id, nil)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				sh.BeginOp()
+				sh.BeginOp(EvMalloc)
 				sh.Retry(SiteActivePop)
 				sh.MagHit()
 				sh.EndMalloc(i%4, time.Nanosecond, uint64(i))

@@ -8,14 +8,18 @@ import (
 	"time"
 )
 
-// HistSummary is a merged histogram with derived quantiles.
+// HistSummary is a merged histogram with derived quantiles. Only timed
+// operations (one in Config.RingSample per thread and op kind) are
+// observed, so Count is the number of timed observations, not of
+// operations; the exact operation totals are Snapshot.Mallocs and
+// Snapshot.Frees.
 type HistSummary struct {
-	Count   uint64      `json:"count"`
-	P50NS   uint64      `json:"p50ns"`
-	P90NS   uint64      `json:"p90ns"`
-	P99NS   uint64      `json:"p99ns"`
-	MaxNS   uint64      `json:"maxns"`
-	Buckets HistBuckets `json:"buckets"`
+	Count   uint64        `json:"count"`
+	P50NS   uint64        `json:"p50ns"`
+	P90NS   uint64        `json:"p90ns"`
+	P99NS   uint64        `json:"p99ns"`
+	MaxNS   uint64        `json:"maxns"`
+	Buckets SparseBuckets `json:"buckets"`
 }
 
 func summarize(b HistBuckets) HistSummary {
@@ -25,7 +29,7 @@ func summarize(b HistBuckets) HistSummary {
 		P90NS:   b.Quantile(0.90),
 		P99NS:   b.Quantile(0.99),
 		MaxNS:   b.Max(),
-		Buckets: b,
+		Buckets: b.Sparse(),
 	}
 }
 
@@ -74,12 +78,21 @@ type Snapshot struct {
 	OffBatchedOps uint64 `json:"offBatchedOps,omitempty"`
 	OffFallbacks  uint64 `json:"offFallbacks,omitempty"`
 
-	// Malloc and Free aggregate latency over all size classes
-	// (including large blocks).
+	// Mallocs and Frees are the exact totals of completed operations
+	// (large blocks included), read from each thread's own operation
+	// counters rather than counted a second time by telemetry.
+	Mallocs uint64 `json:"mallocs"`
+	Frees   uint64 `json:"frees"`
+
+	// Malloc and Free aggregate the latency of timed operations over
+	// all size classes (including large blocks); their Count is the
+	// number of timed operations (see HistSummary).
 	Malloc HistSummary `json:"malloc"`
 	Free   HistSummary `json:"free"`
 	// PerClass holds every (op, class) row, including empty ones so
-	// two snapshots from the same recorder subtract positionally.
+	// two snapshots from the same recorder subtract positionally. Row
+	// counts are timed observations; the malloc rows sum to
+	// Malloc.Count.
 	PerClass []OpHist `json:"perClass"`
 
 	// Events are the most recent flight-recorder events, oldest
@@ -103,6 +116,11 @@ func (r *Recorder) Snapshot() Snapshot {
 
 	var siteTotals [NumSites]uint64
 	for _, sh := range shards {
+		if sh.totals != nil {
+			m, f := sh.totals()
+			s.Mallocs += m
+			s.Frees += f
+		}
 		for i := range sh.retries {
 			siteTotals[i] += sh.retries[i].Load()
 		}
@@ -169,9 +187,10 @@ func rowOpClass(row, classes int) (string, int) {
 }
 
 // Sub returns the delta snapshot s minus an earlier baseline from the
-// same Recorder: retry counts and histogram buckets are subtracted and
-// quantiles recomputed, so a benchmark can report only its own
-// interval. Events and EventsRecorded are taken from s unchanged.
+// same Recorder: op totals, retry counts and histogram buckets are
+// subtracted and quantiles recomputed, so a benchmark can report only
+// its own interval. Events and EventsRecorded are taken from s
+// unchanged.
 func (s Snapshot) Sub(base Snapshot) Snapshot {
 	out := s
 	out.Retries = make(map[string]uint64, len(s.Retries))
@@ -190,6 +209,8 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 		}
 		return a - b
 	}
+	out.Mallocs = sub(s.Mallocs, base.Mallocs)
+	out.Frees = sub(s.Frees, base.Frees)
 	out.MagHits = sub(s.MagHits, base.MagHits)
 	out.MagMisses = sub(s.MagMisses, base.MagMisses)
 	out.MagFlushes = sub(s.MagFlushes, base.MagFlushes)
@@ -201,8 +222,8 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 	out.OffBatchedOps = sub(s.OffBatchedOps, base.OffBatchedOps)
 	out.OffFallbacks = sub(s.OffFallbacks, base.OffFallbacks)
 	subSummary := func(a, b HistSummary) HistSummary {
-		bk := a.Buckets
-		bk.Sub(b.Buckets)
+		bk := a.Buckets.Dense()
+		bk.Sub(b.Buckets.Dense())
 		return summarize(bk)
 	}
 	out.Malloc = subSummary(s.Malloc, base.Malloc)
@@ -217,8 +238,9 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 	return out
 }
 
-// Ops returns the total operations (mallocs + frees) observed.
-func (s Snapshot) Ops() uint64 { return s.Malloc.Count + s.Free.Count }
+// Ops returns the exact total of completed operations (mallocs +
+// frees).
+func (s Snapshot) Ops() uint64 { return s.Mallocs + s.Frees }
 
 // RetriesPerOp returns TotalRetries normalized by operations.
 func (s Snapshot) RetriesPerOp() float64 {
@@ -255,13 +277,13 @@ func (s Snapshot) JSON() ([]byte, error) {
 }
 
 // Text renders a human-readable dashboard: retry counters (non-zero
-// sites, descending), latency summaries, the busiest per-class rows,
-// and the tail of the flight recorder.
+// sites, descending), latency summaries (n= counts timed operations),
+// the busiest per-class rows, and the tail of the flight recorder.
 func (s Snapshot) Text(maxEvents int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "telemetry: uptime %v, %d threads, %d ops (%d malloc / %d free)\n",
 		time.Duration(s.UptimeNS).Round(time.Millisecond),
-		s.Threads, s.Ops(), s.Malloc.Count, s.Free.Count)
+		s.Threads, s.Ops(), s.Mallocs, s.Frees)
 	fmt.Fprintf(&b, "contention: %d CAS retries total (%.4f retries/op)\n",
 		s.TotalRetries, s.RetriesPerOp())
 	if s.MagHits+s.MagMisses > 0 {

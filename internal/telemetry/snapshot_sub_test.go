@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -106,8 +108,8 @@ func TestSnapshotSubQuantiles(t *testing.T) {
 	if s.Malloc.P50NS == d.Malloc.P50NS {
 		t.Errorf("delta p50 %dns equals cumulative p50 — subtraction had no effect on quantiles", d.Malloc.P50NS)
 	}
-	if d.Malloc.Buckets.Count() != 15 {
-		t.Errorf("bucket count = %d, want 15", d.Malloc.Buckets.Count())
+	if n := d.Malloc.Buckets.Dense().Count(); n != 15 {
+		t.Errorf("bucket count = %d, want 15", n)
 	}
 	// Bucket underflow clamps rather than wrapping.
 	d2 := base.Sub(s)
@@ -160,7 +162,7 @@ func TestSnapshotSubMagCounters(t *testing.T) {
 // the documented use — and checks the interval accounting.
 func TestSnapshotSubLive(t *testing.T) {
 	r := New(Config{Classes: 4})
-	sh := r.NewShard(0)
+	sh := r.NewShard(0, nil)
 	for i := 0; i < 10; i++ {
 		sh.EndMalloc(1, time.Microsecond, 0x1000)
 	}
@@ -263,5 +265,47 @@ func TestSeriesCensusPayload(t *testing.T) {
 	fc, ok := last.Census.(fakeCensus)
 	if !ok || fc.Blocks != 7 {
 		t.Errorf("census payload = %#v", last.Census)
+	}
+}
+
+// TestSnapshotSubExactTotals: Sub subtracts the exact op totals,
+// clamping a racy larger baseline to zero, and RetriesPerOp divides by
+// them rather than by the timed-observation counts.
+func TestSnapshotSubExactTotals(t *testing.T) {
+	s := Snapshot{Mallocs: 100, Frees: 60, TotalRetries: 32, Retries: map[string]uint64{"free-fast": 32}}
+	base := Snapshot{Mallocs: 40, Frees: 80}
+	d := s.Sub(base)
+	if d.Mallocs != 60 || d.Frees != 0 {
+		t.Errorf("exact deltas = %d/%d, want 60/0 (clamped)", d.Mallocs, d.Frees)
+	}
+	if got := d.Ops(); got != 60 {
+		t.Errorf("Ops = %d, want 60", got)
+	}
+	if got := s.RetriesPerOp(); got != 0.2 {
+		t.Errorf("RetriesPerOp = %v, want 32/160", got)
+	}
+}
+
+// TestSparseBuckets: a summary keeps its buckets sparse, as [index,
+// count] pairs of the non-empty ones, and they round-trip through JSON
+// back to the dense vector.
+func TestSparseBuckets(t *testing.T) {
+	var b HistBuckets
+	for _, d := range []time.Duration{0, 7, 100, 100, 5000, time.Hour} {
+		b.Observe(d)
+	}
+	data, err := json.Marshal(summarize(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"buckets":[[0,1],[7,1],[`; !strings.Contains(string(data), want) {
+		t.Errorf("JSON = %s, want sparse pairs starting %s", data, want)
+	}
+	var back HistSummary
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Buckets.Dense() != b {
+		t.Errorf("round trip lost buckets: %s", data)
 	}
 }

@@ -1,7 +1,8 @@
 // Package telemetry is the lock-free observability layer for the
 // allocators in this repository: contention counters at every CAS
-// retry site, log2-bucketed latency histograms for malloc/free keyed
-// by size class, and a fixed-size flight recorder of recent events.
+// retry site, exact malloc/free totals, sampled latency histograms
+// keyed by size class, and a fixed-size flight recorder of recent
+// events.
 //
 // The design discipline is the allocator's own (the paper's §2:
 // "lock-free"): recording never takes a lock, never blocks a recording
@@ -23,6 +24,15 @@
 //     discipline as the allocator's own free stacks. Writers are
 //     wait-free; readers validate each slot's sequence word and drop
 //     torn slots instead of waiting.
+//
+//   - Latency is sampled: per-shard countdowns pick every
+//     Config.RingSample-th malloc and every Config.RingSample-th free
+//     to time. Only those read the clock, land in a histogram and feed
+//     the flight recorder; every other operation costs a few plain
+//     field updates and no locked instruction. Exact operation totals
+//     are not counted here at all: each shard reads its thread's own
+//     operation counters (which the allocator keeps anyway) on
+//     Snapshot.
 //
 // A disabled telemetry layer costs the allocator exactly one nil check
 // per instrumented branch (and the retry-site checks sit on CAS
@@ -174,11 +184,15 @@ type Config struct {
 	// RingSize is the flight-recorder capacity in events, rounded up
 	// to a power of two. 0 selects 4096.
 	RingSize int
-	// RingSample records every Nth malloc and free per thread into the
-	// flight recorder (structural events — new superblocks, race
-	// losses, superblock retirements, hook firings — are always
-	// recorded). 0 selects 64; 1 records every operation. Sampling
-	// keeps the ring's shared bump counter off the per-op hot path.
+	// RingSample times every Nth malloc and every Nth free per thread
+	// (counted separately): only those read the clock, land in the
+	// latency histograms and are recorded into the flight recorder.
+	// Operations that retried a CAS are recorded into the flight
+	// recorder too (without a latency), and structural events — new
+	// superblocks, race losses, superblock retirements, hook firings —
+	// always are. 0 selects 64; 1 times every operation. Sampling keeps
+	// the clock and the ring's shared bump counter off the per-op hot
+	// path.
 	RingSample int
 	// SampleRate enables the allocation sampler behind the heap
 	// census's fragmentation, call-site, and live-age reporting: every
@@ -260,14 +274,20 @@ func (r *Recorder) Sampler() *Sampler { return r.smp }
 
 // NewShard registers and returns a per-thread shard. id labels the
 // shard's flight-recorder events (the allocator passes its thread id).
-func (r *Recorder) NewShard(id uint64) *ThreadShard {
+// totals reads the owning thread's exact completed-operation counts;
+// Snapshot sums it over shards for Snapshot.Mallocs and Frees, so the
+// shard itself counts nothing per operation. A nil totals contributes
+// zero.
+func (r *Recorder) NewShard(id uint64, totals func() (mallocs, frees uint64)) *ThreadShard {
 	s := &ThreadShard{
-		id:      id,
-		classes: r.cfg.Classes,
-		hist:    make([]Histogram, 2*(r.cfg.Classes+1)),
-		ring:    &r.ring,
-		sample:  uint64(r.cfg.RingSample),
-		smp:     r.smp,
+		id:        id,
+		totals:    totals,
+		classes:   r.cfg.Classes,
+		hist:      make([]Histogram, 2*(r.cfg.Classes+1)),
+		ring:      &r.ring,
+		sample:    uint64(r.cfg.RingSample),
+		countdown: [2]uint64{uint64(r.cfg.RingSample), uint64(r.cfg.RingSample)},
+		smp:       r.smp,
 	}
 	if r.smp != nil {
 		s.smpEvery = uint64(r.cfg.SampleRate)
@@ -292,6 +312,35 @@ type pad [64]byte
 // a cache line.
 type ThreadShard struct {
 	_ pad
+
+	// Per-operation state, on one cache line: the plain fields an
+	// untimed operation touches. Single-writer, never read by
+	// Snapshot.
+	//
+	// countdown counts mallocs (index EvMalloc) and frees (EvFree)
+	// down to the next timed one and is reloaded from sample
+	// (Config.RingSample). One countdown per kind, not one shared:
+	// with a shared one and an even period, a workload that strictly
+	// alternates malloc and free (Larson, a malloc/free loop) would
+	// time only one of the two kinds. opRetries accumulates this
+	// thread's retries within the current operation (for the
+	// flight-recorder event and the always-record-retried rule).
+	countdown [2]uint64
+	sample    uint64
+	opRetries uint64
+
+	// smp is the recorder's allocation sampler (nil when disabled);
+	// smpEvery/smpSeq drive the per-thread sampling countdown.
+	smp      *Sampler
+	smpEvery uint64
+	smpSeq   uint64
+
+	ring *Ring
+	id   uint64
+
+	// totals reads the owning thread's exact operation counts (see
+	// NewShard).
+	totals func() (mallocs, frees uint64)
 
 	retries [NumSites]atomic.Uint64
 
@@ -318,25 +367,9 @@ type ThreadShard struct {
 
 	// hist rows: [op][class] flattened as op*(classes+1)+class, with
 	// op 0 = malloc, 1 = free, and class `classes` = large blocks.
+	// Only timed operations land here.
 	hist    []Histogram
 	classes int
-
-	ring   *Ring
-	id     uint64
-	sample uint64
-
-	// opRetries accumulates this thread's retries within the current
-	// operation (for the flight-recorder event); opSeq drives ring
-	// sampling. Plain fields: single-writer, never read by Snapshot.
-	opRetries uint64
-	opSeq     uint64
-
-	// smp is the recorder's allocation sampler (nil when disabled);
-	// smpEvery/smpSeq drive the per-thread sampling countdown. Plain
-	// fields: single-writer.
-	smp      *Sampler
-	smpEvery uint64
-	smpSeq   uint64
 
 	_ pad
 }
@@ -344,9 +377,26 @@ type ThreadShard struct {
 // ID returns the thread id the shard was registered with.
 func (s *ThreadShard) ID() uint64 { return s.id }
 
-// BeginOp marks the start of a Malloc or Free, resetting the per-op
-// retry accumulator.
-func (s *ThreadShard) BeginOp() { s.opRetries = 0 }
+// BeginOp marks the start of a Malloc (kind EvMalloc) or Free
+// (EvFree): it resets the per-op retry accumulator and ticks the
+// kind's sampling countdown. It reports whether this operation is
+// timed — every Config.RingSample-th of its kind; the caller then
+// reads the clock around the operation and ends it with
+// EndMalloc/EndFree. An untimed operation ends with Retried and, only
+// if that reports true, Note.
+func (s *ThreadShard) BeginOp(kind EventKind) (timed bool) {
+	s.opRetries = 0
+	c := &s.countdown[kind&1]
+	*c--
+	if *c != 0 {
+		return false
+	}
+	*c = s.sample
+	return true
+}
+
+// Retried reports whether the current operation failed a CAS.
+func (s *ThreadShard) Retried() bool { return s.opRetries != 0 }
 
 // Retry records one failed CAS at site.
 func (s *ThreadShard) Retry(site Site) {
@@ -399,37 +449,21 @@ func (s *ThreadShard) histRow(op, class int) *Histogram {
 	return &s.hist[op*(s.classes+1)+class]
 }
 
-// EndMalloc records a completed Malloc: latency into the class's
-// histogram and (sampled) an event into the flight recorder. class is
-// the size-class index, or -1 for a large block.
+// EndMalloc records a completed timed Malloc (BeginOp returned true):
+// latency into the class's histogram and an event into the flight
+// recorder. class is the size-class index, or -1 for a large block.
 func (s *ThreadShard) EndMalloc(class int, d time.Duration, ptr uint64) {
-	s.endOp(EvMalloc, 0, class, d, ptr)
+	s.histRow(0, class).Record(d)
+	s.record(EvMalloc, class, ptr, uint64(d.Nanoseconds()))
 }
 
-// EndFree records a completed Free.
+// EndFree records a completed timed Free.
 func (s *ThreadShard) EndFree(class int, d time.Duration, ptr uint64) {
-	s.endOp(EvFree, 1, class, d, ptr)
+	s.histRow(1, class).Record(d)
+	s.record(EvFree, class, ptr, uint64(d.Nanoseconds()))
 }
 
-func (s *ThreadShard) endOp(kind EventKind, op, class int, d time.Duration, ptr uint64) {
-	s.histRow(op, class).Record(d)
-	s.opSeq++
-	if s.opRetries > 0 || s.opSeq%s.sample == 0 {
-		s.ring.Record(Event{
-			Kind:    kind,
-			Class:   class,
-			Hook:    -1,
-			Thread:  s.id,
-			Retries: s.opRetries,
-			Ptr:     ptr,
-			Nanos:   uint64(d.Nanoseconds()),
-		})
-	}
-}
-
-// Note records a structural event (new superblock, race loss,
-// superblock retirement) into the flight recorder, unsampled.
-func (s *ThreadShard) Note(kind EventKind, class int, ptr uint64) {
+func (s *ThreadShard) record(kind EventKind, class int, ptr, nanos uint64) {
 	s.ring.Record(Event{
 		Kind:    kind,
 		Class:   class,
@@ -437,7 +471,17 @@ func (s *ThreadShard) Note(kind EventKind, class int, ptr uint64) {
 		Thread:  s.id,
 		Retries: s.opRetries,
 		Ptr:     ptr,
+		Nanos:   nanos,
 	})
+}
+
+// Note records an event into the flight recorder, unsampled and
+// without a latency: a structural event (new superblock, race loss,
+// superblock retirement), or an untimed Malloc or Free (EvMalloc,
+// EvFree) that retried, so contended operations are never sampled
+// away.
+func (s *ThreadShard) Note(kind EventKind, class int, ptr uint64) {
+	s.record(kind, class, ptr, 0)
 }
 
 // NoteHook records a hook firing (fault-injection instrumentation)

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -12,7 +13,14 @@ func TestBucketFor(t *testing.T) {
 		d    time.Duration
 		want int
 	}{
-		{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {1023, 10}, {1024, 11},
+		// Exact below 16 ns.
+		{0, 0}, {1, 1}, {15, 15},
+		// Octave [16,32): 8 buckets 2 ns wide.
+		{16, 16}, {17, 16}, {18, 17}, {31, 23},
+		// Octave [32,64): 4 ns wide.
+		{32, 24}, {36, 25}, {63, 31},
+		// Octave [1024,2048): 128 ns wide.
+		{1023, 16 + 5*8 + 7}, {1024, 16 + 6*8}, {1152, 16 + 6*8 + 1},
 		{time.Hour, NumBuckets - 1},
 	}
 	for _, c := range cases {
@@ -22,9 +30,53 @@ func TestBucketFor(t *testing.T) {
 	}
 }
 
+// TestBucketResolution checks the HDR layout's contract: every
+// duration lands in a bucket whose range holds it, a bucket's width is
+// at most 1/8 of its low bound (exact below 16 ns), bucket ranges tile
+// the line without gaps, and BucketBelow(k) splits at 2^k ns.
+func TestBucketResolution(t *testing.T) {
+	var prevEnd uint64
+	for i := 0; i < NumBuckets; i++ {
+		low, width := bucketLow(i)
+		if low != prevEnd {
+			t.Fatalf("bucket %d starts at %d, previous ended at %d", i, low, prevEnd)
+		}
+		if low >= exactNS && width*subBuckets > low {
+			t.Fatalf("bucket %d: width %d over 1/8 of low bound %d", i, width, low)
+		}
+		if low < exactNS && width != 1 {
+			t.Fatalf("bucket %d below %d ns is not exact (width %d)", i, exactNS, width)
+		}
+		for _, ns := range []uint64{low, low + width/2, low + width - 1} {
+			if i < NumBuckets-1 && bucketFor(time.Duration(ns)) != i {
+				t.Fatalf("bucketFor(%d) = %d, want %d", ns, bucketFor(time.Duration(ns)), i)
+			}
+		}
+		prevEnd = low + width
+	}
+	for k := 0; k <= maxOctave+1; k++ {
+		below := BucketBelow(k)
+		if below < NumBuckets {
+			if low, _ := bucketLow(below); low != 1<<k {
+				t.Errorf("BucketBelow(%d) = %d starts at %d ns, want %d", k, below, low, uint64(1)<<k)
+			}
+		}
+	}
+	// A quantile is a bucket midpoint, within 6.25% of any value in
+	// the bucket.
+	for _, ns := range []uint64{20, 48, 96, 100, 250, 384, 1000, 12345, 1 << 30} {
+		var b HistBuckets
+		b.Observe(time.Duration(ns))
+		got := b.Quantile(0.5)
+		if diff := float64(got) - float64(ns); diff > float64(ns)/16 || -diff > float64(ns)/16 {
+			t.Errorf("p50 of {%d} = %d, off by more than 1/16", ns, got)
+		}
+	}
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
-	// 90 fast (ns in [64,128)) and 10 slow (ns in [4096,8192)).
+	// 90 fast (100 ns) and 10 slow (5000 ns).
 	for i := 0; i < 90; i++ {
 		h.Record(100)
 	}
@@ -36,15 +88,15 @@ func TestHistogramQuantiles(t *testing.T) {
 		t.Fatalf("Count = %d, want 100", got)
 	}
 	p50 := b.Quantile(0.50)
-	if p50 < 64 || p50 >= 128 {
-		t.Errorf("p50 = %d, want in [64,128)", p50)
+	if p50 < 96 || p50 >= 104 {
+		t.Errorf("p50 = %d, want in [96,104)", p50)
 	}
 	p99 := b.Quantile(0.99)
-	if p99 < 4096 || p99 >= 8192 {
-		t.Errorf("p99 = %d, want in [4096,8192)", p99)
+	if p99 < 4608 || p99 >= 5120 {
+		t.Errorf("p99 = %d, want in [4608,5120)", p99)
 	}
-	if max := b.Max(); max < 4096 || max >= 8192 {
-		t.Errorf("Max = %d, want in [4096,8192)", max)
+	if max := b.Max(); max < 4608 || max >= 5120 {
+		t.Errorf("Max = %d, want in [4608,5120)", max)
 	}
 	var empty HistBuckets
 	if empty.Quantile(0.5) != 0 || empty.Max() != 0 {
@@ -85,18 +137,17 @@ func TestConcurrentMergeProperty(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sh := r.NewShard(uint64(w))
+			th := newTestThread(r, uint64(w))
 			for i := 0; i < perW; i++ {
-				sh.BeginOp()
+				var sites []Site
 				if i%3 == 0 {
-					sh.Retry(SiteActiveReserve)
+					sites = append(sites, SiteActiveReserve)
 				}
 				if i%7 == 0 {
-					sh.Retry(SiteFreeFast)
+					sites = append(sites, SiteFreeFast)
 				}
-				sh.EndMalloc(i%5-1, time.Duration(i%2000), uint64(i)) // class -1..3
-				sh.BeginOp()
-				sh.EndFree(i%5-1, time.Duration(i%100), uint64(i))
+				th.malloc(i%5-1, time.Duration(i%2000), uint64(i), sites...) // class -1..3
+				th.free(i%5-1, time.Duration(i%100), uint64(i))
 				r.Stripes().Retry(SiteRegionPush, uint64(i))
 			}
 		}(w)
@@ -106,6 +157,9 @@ func TestConcurrentMergeProperty(t *testing.T) {
 	snaps.Wait()
 
 	s := r.Snapshot()
+	if s.Mallocs != workers*perW || s.Frees != workers*perW {
+		t.Errorf("exact totals = %d/%d, want %d each", s.Mallocs, s.Frees, workers*perW)
+	}
 	if got := s.Malloc.Count; got != workers*perW {
 		t.Errorf("merged malloc count = %d, want %d", got, workers*perW)
 	}
@@ -209,26 +263,21 @@ func TestRingConcurrent(t *testing.T) {
 
 func TestSnapshotSub(t *testing.T) {
 	r := New(Config{Classes: 2, RingSample: 1})
-	sh := r.NewShard(0)
-	sh.BeginOp()
-	sh.Retry(SiteActivePop)
-	sh.EndMalloc(0, 100, 1)
+	th := newTestThread(r, 0)
+	th.malloc(0, 100, 1, SiteActivePop)
 	base := r.Snapshot()
 	for i := 0; i < 9; i++ {
-		sh.BeginOp()
-		sh.Retry(SiteActivePop)
-		sh.Retry(SiteActivePop)
-		sh.EndMalloc(1, 5000, 2)
+		th.malloc(1, 5000, 2, SiteActivePop, SiteActivePop)
 	}
 	delta := r.Snapshot().Sub(base)
-	if delta.Malloc.Count != 9 {
-		t.Errorf("delta malloc count = %d, want 9", delta.Malloc.Count)
+	if delta.Mallocs != 9 || delta.Malloc.Count != 9 {
+		t.Errorf("delta mallocs = %d exact, %d timed; want 9, 9", delta.Mallocs, delta.Malloc.Count)
 	}
 	if got := delta.Retries[SiteActivePop.String()]; got != 18 {
 		t.Errorf("delta retries = %d, want 18", got)
 	}
-	if p50 := delta.Malloc.P50NS; p50 < 4096 || p50 >= 8192 {
-		t.Errorf("delta p50 = %d, want in [4096,8192) (baseline fast op must not leak in)", p50)
+	if p50 := delta.Malloc.P50NS; p50 < 4608 || p50 >= 5120 {
+		t.Errorf("delta p50 = %d, want in [4608,5120) (baseline fast op must not leak in)", p50)
 	}
 	if rpo := delta.RetriesPerOp(); rpo != 2 {
 		t.Errorf("delta retries/op = %v, want 2", rpo)
@@ -237,10 +286,9 @@ func TestSnapshotSub(t *testing.T) {
 
 func TestSnapshotJSONAndText(t *testing.T) {
 	r := New(Config{Classes: 3, RingSample: 1})
-	sh := r.NewShard(7)
-	sh.BeginOp()
-	sh.Retry(SitePartialPop)
-	sh.EndMalloc(2, 300, 42)
+	th := newTestThread(r, 7)
+	th.malloc(2, 300, 42, SitePartialPop)
+	sh := th.sh
 	sh.Note(EvNewSB, 2, 4096)
 	sh.NoteHook(5)
 	s := r.Snapshot()
@@ -253,7 +301,7 @@ func TestSnapshotJSONAndText(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("round-trip: %v", err)
 	}
-	if back.Malloc.Count != 1 || back.TotalRetries != 1 {
+	if back.Mallocs != 1 || back.Malloc.Count != 1 || back.TotalRetries != 1 {
 		t.Errorf("round-tripped snapshot lost data: %+v", back)
 	}
 
@@ -296,7 +344,7 @@ func indexOf(s, sub string) int {
 
 func TestSnapshotMagazineCounters(t *testing.T) {
 	r := New(Config{Classes: 2})
-	sh := r.NewShard(0)
+	sh := r.NewShard(0, nil)
 	for i := 0; i < 3; i++ {
 		sh.MagHit()
 	}
@@ -327,5 +375,93 @@ func TestSnapshotMagazineCounters(t *testing.T) {
 	quiet := New(Config{Classes: 2}).Snapshot()
 	if quiet.MagHitRate() != 0 || contains(quiet.Text(0), "magazines:") {
 		t.Error("magazine line leaked into magazine-free snapshot")
+	}
+}
+
+// testThread stands in for an allocator thread: it owns the exact
+// operation counters its shard reads (as core.Thread's OpStats do) and
+// drives the shard the way core.Thread.Malloc/Free do.
+type testThread struct {
+	sh             *ThreadShard
+	mallocs, frees atomic.Uint64
+}
+
+func newTestThread(r *Recorder, id uint64) *testThread {
+	th := &testThread{}
+	th.sh = r.NewShard(id, func() (uint64, uint64) { return th.mallocs.Load(), th.frees.Load() })
+	return th
+}
+
+// malloc runs one malloc that fails a CAS at each of sites and, when
+// the shard times it, took d.
+func (th *testThread) malloc(class int, d time.Duration, ptr uint64, sites ...Site) {
+	th.op(EvMalloc, class, d, ptr, sites)
+	th.mallocs.Add(1)
+}
+
+func (th *testThread) free(class int, d time.Duration, ptr uint64, sites ...Site) {
+	th.op(EvFree, class, d, ptr, sites)
+	th.frees.Add(1)
+}
+
+func (th *testThread) op(kind EventKind, class int, d time.Duration, ptr uint64, sites []Site) {
+	timed := th.sh.BeginOp(kind)
+	for _, site := range sites {
+		th.sh.Retry(site)
+	}
+	switch {
+	case timed && kind == EvMalloc:
+		th.sh.EndMalloc(class, d, ptr)
+	case timed:
+		th.sh.EndFree(class, d, ptr)
+	case th.sh.Retried():
+		th.sh.Note(kind, class, ptr)
+	}
+}
+
+// TestSampledTiming: over K mallocs and K' frees on one thread exactly
+// floor(K/N) mallocs and floor(K'/N) frees are timed (N =
+// RingSample); the exact totals still count every op; every op that
+// retried reaches the flight recorder, timed or not; and a workload
+// that strictly alternates malloc and free gets both kinds timed.
+func TestSampledTiming(t *testing.T) {
+	const n = 8
+	for _, k := range []int{0, 1, n - 1, n, n + 1, 2 * n, 1000, 1003} {
+		r := New(Config{Classes: 2, RingSize: 4096, RingSample: n})
+		th := newTestThread(r, 3)
+		var seen [2]int // ops of each kind so far
+		retried := 0
+		for i := 0; i < k; i++ {
+			var sites []Site
+			if i%5 == 0 {
+				sites = []Site{SiteFreeSlow}
+			}
+			kind := i % 2 // strict alternation: malloc, free, malloc, ...
+			seen[kind]++
+			if seen[kind]%n != 0 && len(sites) > 0 {
+				retried++
+			}
+			if kind == 0 {
+				th.malloc(0, 40, uint64(i), sites...)
+			} else {
+				th.free(1, 30, uint64(i), sites...)
+			}
+		}
+		s := r.Snapshot()
+		wantM, wantF := uint64(seen[0]/n), uint64(seen[1]/n)
+		if s.Malloc.Count != wantM || s.Free.Count != wantF {
+			t.Errorf("K=%d: %d/%d timed mallocs/frees, want %d/%d", k, s.Malloc.Count, s.Free.Count, wantM, wantF)
+		}
+		if got := s.Ops(); got != uint64(k) {
+			t.Errorf("K=%d: exact ops = %d, want %d", k, got, k)
+		}
+		if got, want := s.EventsRecorded, wantM+wantF+uint64(retried); got != want {
+			t.Errorf("K=%d: %d ring events, want %d timed + %d retried", k, got, wantM+wantF, retried)
+		}
+		for _, e := range s.Events {
+			if e.Nanos == 0 && e.Retries == 0 {
+				t.Errorf("K=%d: untimed event without retries recorded: %+v", k, e)
+			}
+		}
 	}
 }
